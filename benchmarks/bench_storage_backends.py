@@ -7,15 +7,10 @@ backends of :mod:`repro.graph.backends`:
 * ``test_bulk_traversal_dict``  — the mutation-friendly default: per-label
   hash adjacency, per-config tuple stack, hash-set visited bookkeeping;
 * ``test_bulk_traversal_csr``   — the frozen graph: interned integer ids,
-  per-label sorted CSR buffers, batch slice expansion, one flat
-  ``bytearray`` visited map over the product space (scalar kernel,
-  pinned).  Asserts the PR 6 acceptance criterion: **≥ 2×** faster than
-  the dict backend on the same workload, with identical answers;
-* ``test_bulk_traversal_vector`` — the numpy kernel over the same frozen
-  CSR, driven through the batched ``QueryEngine.reachable_many`` entry
-  point (multi-source flat configurations, bool visited matrix,
-  ``np.repeat`` CSR gathers).  Asserts the PR 7 acceptance criterion:
-  **≥ 10×** faster than the dict backend, with identical answers;
+  per-label sorted CSR buffers, one flat ``bytearray`` visited map over
+  the product space, searched by the generated-code query kernel.
+  Asserts the acceptance criterion: **≥ 2×** faster than the dict
+  backend on the same workload, with identical answers;
 * ``test_all_pairs_csr_engine`` — the ``QueryEngine(backend="csr")``
   all-pairs path (freeze once, query many) on the same graph shape;
 * ``test_freeze_cost``          — what one ``freeze()`` costs, i.e. how
@@ -72,17 +67,15 @@ def traversal_sources(graph: GraphDatabase, count: int = SOURCE_COUNT) -> list:
     return rng.sample(sorted(graph.nodes(), key=repr), count)
 
 
-def make_sweep(graph: GraphDatabase, kernel: str = "scalar"):
+def make_sweep(graph: GraphDatabase):
     """One full single-source sweep with the memo caches defeated.
 
     ``QueryEngine.reachable`` memoises per (expr, source); benchmarking
     the memo would measure dictionary lookups, not traversal.  Each sweep
     runs on a cleared cross-candidate cache so the product search really
     executes (compiled automata are shared by both backends either way).
-    The kernel is pinned so the dict-vs-csr comparison keeps measuring
-    the scalar storage layouts regardless of the session default.
     """
-    engine = QueryEngine(kernel=kernel)
+    engine = QueryEngine()
     expr = parse_nre(QUERY)
     sources = traversal_sources(graph)
 
@@ -92,20 +85,6 @@ def make_sweep(graph: GraphDatabase, kernel: str = "scalar"):
         for source in sources:
             total += len(engine.reachable(graph, expr, source))
         return total
-
-    return sweep
-
-
-def make_vector_sweep(frozen: GraphDatabase):
-    """The batched numpy sweep: all sources through one ``reachable_many``."""
-    engine = QueryEngine(kernel="vector")
-    expr = parse_nre(QUERY)
-    sources = traversal_sources(frozen)
-
-    def sweep() -> int:
-        engine.clear()
-        answers = engine.reachable_many(frozen, expr, sources)
-        return sum(len(targets) for targets in answers.values())
 
     return sweep
 
@@ -144,50 +123,6 @@ def test_bulk_traversal_csr(benchmark):
         f"CSR bulk traversal is only {speedup:.2f}x the dict backend "
         f"(acceptance requires >= 2x: dict {1000 * dict_median:.1f} ms, "
         f"csr {1000 * csr_median:.1f} ms)"
-    )
-
-
-def test_bulk_traversal_vector(benchmark):
-    """The numpy-kernel sweep — asserts answers identical and >= 10x faster.
-
-    Skipped when numpy is absent (the kernel then degrades to scalar and
-    there is nothing to measure); the scalar fallback's correctness is
-    covered by the kernel differential suites.
-    """
-    import pytest
-
-    from repro.kernels import get_numpy
-
-    if get_numpy() is None:
-        pytest.skip("numpy unavailable; vector kernel falls back to scalar")
-
-    graph = chase_shaped_graph()
-    frozen = graph.freeze()
-    dict_sweep = make_sweep(graph)
-    scalar_sweep = make_sweep(frozen)
-    vector_sweep = make_vector_sweep(frozen)
-    assert vector_sweep() == scalar_sweep() == dict_sweep(), (
-        "kernel answers diverged on the traversal sweep"
-    )
-    benchmark.pedantic(vector_sweep, rounds=5, iterations=1, warmup_rounds=1)
-
-    # The PR 7 acceptance criterion, measured independently of the
-    # benchmark fixture so this test is self-contained.
-    dict_median, vector_median = ab_medians(dict_sweep, vector_sweep)
-    speedup = dict_median / vector_median
-    report(
-        "storage backends: vectorized bulk traversal",
-        [
-            ("graph", "chased shape", f"|V|={NODE_COUNT} |E|~{EDGE_FACTOR * NODE_COUNT}"),
-            ("dict backend median", "--", f"{1000 * dict_median:.1f} ms"),
-            ("vector kernel median", "--", f"{1000 * vector_median:.1f} ms"),
-            ("vector speedup", ">= 10x (acceptance)", f"{speedup:.2f}x"),
-        ],
-    )
-    assert speedup >= 10.0, (
-        f"vector bulk traversal is only {speedup:.2f}x the dict backend "
-        f"(acceptance requires >= 10x: dict {1000 * dict_median:.1f} ms, "
-        f"vector {1000 * vector_median:.1f} ms)"
     )
 
 

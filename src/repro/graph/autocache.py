@@ -49,14 +49,15 @@ if TYPE_CHECKING:  # import cycle: automaton.py imports this module
     from repro.graph.automaton import NREAutomaton
     from repro.graph.nre import NRE
 
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 """Bump on any change to the automaton classes' pickled shape.
 
-Format 2: entries additionally carry the codegen kernel's generated
-source strings (``_codegen_source`` side-attributes on every compiled
-automaton in the test tree), so a warm process skips code generation as
-well as Thompson compilation.  Format-1 entries read as misses via the
-version-stamped directory and are recompiled silently."""
+Format 3: entries carry the automaton and its ε-free lowering only — no
+generated query-kernel source.  The kernel's code is always generated
+in-process from the automaton (:func:`repro.graph.codegen.program_for`),
+so nothing read from disk is ever ``exec``\\d.  Entries of earlier
+formats read as misses via the version-stamped directory and are
+recompiled silently."""
 
 _MIN_STATES = 8
 """Smallest Thompson state count worth a filesystem round-trip."""
@@ -111,13 +112,6 @@ def load(expr: "NRE") -> "NREAutomaton | None":
     automaton = payload.get("automaton")
     if not isinstance(automaton, NREAutomaton):
         return None
-    if automaton._compiled is not None:
-        # Persisted codegen source from a different generator version
-        # must not shadow regeneration (the directory stamp only guards
-        # the pickle shape, not the generated code).
-        from repro.graph.codegen import validate_sources
-
-        validate_sources(automaton._compiled)
     return automaton
 
 
@@ -192,10 +186,7 @@ def store(expr: "NRE", automaton: "NREAutomaton") -> None:
         return
     source = str(expr)
     try:
-        compiled = automaton.compiled()  # persist the ε-free lowering too
-        from repro.graph.codegen import ensure_sources
-
-        ensure_sources(compiled)  # ... and the generated kernel source
+        automaton.compiled()  # persist the ε-free lowering too
         directory = cache_dir()
         os.makedirs(directory, exist_ok=True)
         target = _entry_path(source)

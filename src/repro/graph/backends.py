@@ -587,9 +587,8 @@ class CsrBackend:
 
     with each node's neighbour slice sorted ascending (so ``has_edge`` is
     a binary search and traversal output order is deterministic).  The
-    buffers are numpy ``int64`` arrays when numpy is importable — the
-    substrate of the vectorized execution kernel
-    (:mod:`repro.graph.vector`), pickled into snapshots as-is so reloads
+    buffers are numpy ``int64`` arrays when numpy is importable — built
+    in three array ops and pickled into snapshots as-is so reloads
     reattach them without copies — and :class:`array.array` values
     (typecode ``"q"``) otherwise.  Every accessor treats the two buffer
     types interchangeably, so snapshots written by either installation
@@ -660,11 +659,11 @@ class CsrBackend:
         self._bwd_views: dict[LabelName, dict[Node, frozenset[Node]]] = {}
         # Lazy plain-list twins of the CSR buffers: CPython indexes and
         # slices lists of (pre-boxed) ints markedly faster than array
-        # values, so the scalar automaton fast path resolves against these.
+        # values, so the generated-code query kernel binds these.
         self._fwd_lists: dict[LabelName, tuple[list[int], list[int]]] = {}
         self._bwd_lists: dict[LabelName, tuple[list[int], list[int]]] = {}
-        # Lazy numpy int64 twins for the vector kernel (no-copy views when
-        # the buffers are already numpy-built).
+        # Lazy numpy int64 twins for the matcher's vectorized self-join
+        # (no-copy views when the buffers are already numpy-built).
         self._fwd_arrays: dict[LabelName, tuple] = {}
         self._bwd_arrays: dict[LabelName, tuple] = {}
         self._edge_set: frozenset[Edge] | None = None
@@ -683,8 +682,8 @@ class CsrBackend:
         """Bulk :meth:`node_at`: the nodes interned at each id, in order.
 
         Returns a lazy C-level ``map`` so callers can feed it straight into
-        a set or list constructor without a Python-level loop — the vector
-        kernel decodes whole hit arrays through this.
+        a set or list constructor without a Python-level loop — the query
+        kernel decodes its hit lists through this.
         """
         return map(self._node_list.__getitem__, node_ids)
 
@@ -736,12 +735,12 @@ class CsrBackend:
     def forward_arrays(self, lab: LabelName) -> tuple | None:
         """``(offsets, targets)`` as numpy ``int64`` arrays (memoised).
 
-        The vector kernel's buffer view: a no-copy pass-through when the
-        backend was built with numpy, a one-time conversion when the
+        The trigger matcher's self-join view: a no-copy pass-through when
+        the backend was built with numpy, a one-time conversion when the
         buffers came from an :class:`array.array` build (e.g. a snapshot
         written by a numpy-less installation).  Returns ``None`` for
         labels absent from the graph — or when numpy itself is absent,
-        which is what flips the kernel back to scalar.
+        which sends the matcher down its pure-Python join.
         """
         arrays = self._fwd_arrays.get(lab)
         if arrays is None:
@@ -1161,8 +1160,8 @@ class CsrBackend:
         Buffers are reattached as stored — numpy arrays stay numpy arrays
         (no copies) — except when a snapshot written by a numpy-less
         installation (:class:`array.array` buffers) is loaded where numpy
-        is available: those are upgraded once here, so the vector kernel
-        never pays a per-query conversion.
+        is available: those are upgraded once here, so the matcher's
+        self-join never pays a per-call conversion.
         """
         backend = cls.__new__(cls)
         backend._alphabet = state["alphabet"]

@@ -1,10 +1,9 @@
-"""The generated-code (specializing) NRE execution kernel.
+"""The generated-code NRE query kernel: the one search on CSR graphs.
 
-The scalar kernel walks every automaton through one *generic* product
-search (:meth:`repro.graph.automaton._Runner._search_ids`): per drained
-state it unpacks resolved move tuples, iterates hop lists, and rebinds
-buffers — interpreter dispatch that is pure overhead once the automaton
-is fixed.  This module removes that dispatch the way query compilers do
+A generic product search walks every automaton through one interpreter
+loop: per drained state it unpacks move tuples, iterates hop lists, and
+rebinds buffers — dispatch that is pure overhead once the automaton is
+fixed.  This module removes that dispatch the way query compilers do
 when they lower automata to code: each
 :class:`~repro.graph.automaton.CompiledAutomaton` is lowered **once** to
 a specialized Python source string in which
@@ -25,34 +24,32 @@ a specialized Python source string in which
   first edge into an accepting state without even marking it visited;
   ``holds`` tests the target at insert time).
 
-The source string is compiled with :func:`compile`/``exec`` once per
-process and — because it is a plain string — pickles through the on-disk
-:mod:`repro.graph.autocache` (format version 2), so a warm process skips
-both Thompson compilation *and* code generation: it just ``exec``\\s the
-cached source.
+Multi-source queries (all-pairs, batched sources) do not run one
+``collect`` per source: :meth:`CodegenSearch.collect_many` walks the
+product graph once for all of them over the same plan and buffer
+bindings, finishing strongly connected components in reverse
+topological order so sources that reach one closure share its answer
+set.
 
-Select with ``--kernel codegen`` / ``REPRO_KERNEL=codegen`` /
-``QueryEngine(kernel="codegen")``.  Like the vector kernel, the
-generated code runs on frozen CSR graphs; dict-backed graphs fall back
-to the generic scalar loops.  Unlike the vector kernel it needs no
-numpy.  Answers are byte-identical to the scalar and vector kernels on
-every query — pinned by the three-way differential suite in
+The source is generated from the deterministic :class:`_Plan` and
+compiled with :func:`compile`/``exec`` once per process and automaton;
+neither the source nor the executed program is ever persisted, so the
+on-disk :mod:`repro.graph.autocache` carries no executable code.
+
+Every query on a frozen CSR graph runs here; dict-backed graphs run the
+generic product BFS of :class:`repro.graph.automaton._Runner`.  Answers
+equal the set-algebraic reference evaluator on every query — pinned by
+the backend differential suite in
 ``tests/test_properties/test_kernel_properties.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.graph.automaton import CompiledAutomaton
-
-CODEGEN_VERSION = 1
-"""Bump on any change to the generated source's shape or calling
-convention; stamped into every generated module so a loader can refuse
-foreign source (the autocache directory version already isolates
-formats — this is belt and braces for debugging)."""
 
 
 @dataclass(frozen=True)
@@ -61,8 +58,7 @@ class _Plan:
 
     Everything the generated code's *caller* must reproduce —
     buffer order, nested-test order — is derived from this one
-    structure, so a source string restored from the on-disk cache
-    binds identically to one generated in-process.
+    structure, so the generated source and its binder always agree.
     """
 
     live: tuple[int, ...]  # live state ids, dense index = position
@@ -81,8 +77,7 @@ def _plan_for(compiled: "CompiledAutomaton") -> _Plan:
     Live-state discovery is a BFS from the start state over non-ε move
     and test targets, in the automaton's own (deterministic, pickled)
     iteration order — the same walk :func:`source_for` compiles and
-    :class:`CodegenSearch` binds, which is what keeps cached source and
-    fresh binders aligned.
+    :class:`CodegenSearch` binds.
     """
     cached = compiled.__dict__.get("_codegen_plan")
     if cached is not None:
@@ -319,18 +314,14 @@ def _emit_function(plan: _Plan, mode: str) -> list[str]:
 
 
 def source_for(compiled: "CompiledAutomaton") -> str:
-    """Return the specialized module source (memoised on the instance).
+    """Return the specialized module source for ``compiled``.
 
     The string is pure metadata plus three function definitions — no
-    imports, no captured objects — so it pickles through the autocache
-    and ``exec``\\s identically in any process.
+    imports, no captured objects.  It is regenerated on every call;
+    :func:`program_for` calls this once per process and automaton.
     """
-    cached = compiled.__dict__.get("_codegen_source")
-    if cached is not None:
-        return cached
     plan = _plan_for(compiled)
     lines = [
-        f"CODEGEN_VERSION = {CODEGEN_VERSION}",
         f"BUFFERS = {plan.buffers!r}",
         f"TEST_COUNT = {len(plan.tests)}",
         f"STATE_COUNT = {len(plan.live)}",
@@ -338,46 +329,7 @@ def source_for(compiled: "CompiledAutomaton") -> str:
     for mode in ("collect", "nonempty", "holds"):
         lines.append("")
         lines.extend(_emit_function(plan, mode))
-    source = "\n".join(lines) + "\n"
-    object.__setattr__(compiled, "_codegen_source", source)
-    return source
-
-
-def ensure_sources(compiled: "CompiledAutomaton") -> None:
-    """Pre-generate source for ``compiled`` and every nested automaton.
-
-    Called by :func:`repro.graph.autocache.store` so the persisted pickle
-    carries the generated source of the whole test tree — a warm process
-    then skips code generation entirely.
-    """
-    source_for(compiled)
-    for nested in _plan_for(compiled).tests:
-        ensure_sources(nested)
-
-
-def validate_sources(compiled: "CompiledAutomaton") -> None:
-    """Drop any persisted source stamped by a different codegen version.
-
-    Called by :func:`repro.graph.autocache.load` on restored automata:
-    the cache directory's format version protects the *pickle* shape, but
-    a generated-source change within one format would otherwise keep
-    serving stale code forever (the ``_codegen_source`` memo wins over
-    regeneration).  A mismatched stamp simply costs one regeneration.
-    """
-    stamp = f"CODEGEN_VERSION = {CODEGEN_VERSION}\n"
-    stack = [compiled]
-    seen: set[int] = set()
-    while stack:
-        automaton = stack.pop()
-        if id(automaton) in seen:
-            continue
-        seen.add(id(automaton))
-        source = automaton.__dict__.get("_codegen_source")
-        if source is not None and not source.startswith(stamp):
-            automaton.__dict__.pop("_codegen_source", None)
-        for checks in automaton.tests:
-            for nested, _target in checks:
-                stack.append(nested)
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -391,25 +343,24 @@ class CodegenProgram:
 
 
 def program_for(compiled: "CompiledAutomaton") -> CodegenProgram:
-    """Compile and exec the generated source (once per process/instance).
+    """Generate, compile and exec the source (once per process/instance).
 
-    The code object and function objects are never pickled — only the
-    source string round-trips; restoring in another process re-``exec``\\s
-    it here on first use.
+    The source always comes from :func:`source_for` in this process; the
+    code object and function objects are never pickled.
     """
     cached = compiled.__dict__.get("_codegen_program")
     if cached is not None:
         return cached
-    plan = _plan_for(compiled)
-    source = source_for(compiled)
     namespace: dict = {"__builtins__": __builtins__}
-    code = compile(source, f"<nre-codegen-{compiled.cache_key}>", "exec")
+    code = compile(
+        source_for(compiled), f"<nre-codegen-{compiled.cache_key}>", "exec"
+    )
     exec(code, namespace)  # noqa: S102 - our own generated source
     program = CodegenProgram(
         collect=namespace["collect"],
         nonempty=namespace["nonempty"],
         holds=namespace["holds"],
-        plan=plan,
+        plan=_plan_for(compiled),
     )
     object.__setattr__(compiled, "_codegen_program", program)
     return program
@@ -418,10 +369,10 @@ def program_for(compiled: "CompiledAutomaton") -> CodegenProgram:
 class CodegenSearch:
     """Drives generated-code searches over one frozen CSR backend.
 
-    The codegen twin of :class:`repro.graph.vector.VectorSearch`: owned
-    by a :class:`~repro.graph.automaton._Runner`, holding the per-graph
-    buffer bindings and the nested-test memo tables.  ``stats`` is the
-    runner's duck-typed counter object (may be ``None``).
+    Owned by a :class:`~repro.graph.automaton._Runner`, holding the
+    per-graph buffer bindings and the nested-test memo tables.
+    ``stats`` is the runner's duck-typed counter object (may be
+    ``None``).
     """
 
     def __init__(self, csr, stats: object | None = None):
@@ -461,6 +412,142 @@ class CodegenSearch:
         return program.holds(
             source_id, target_id, self.csr.node_count(), buffers, tests
         )
+
+    def collect_many(
+        self, compiled: "CompiledAutomaton", source_ids: list[int]
+    ) -> list[frozenset[int]]:
+        """Accepted node ids per source, sharing work across sources.
+
+        One iterative Tarjan pass over the product graph reachable from
+        every ``(source, start)`` config.  Strongly connected components
+        complete in reverse topological order, so each component's
+        answer set is its own accepted nodes plus the union of the
+        already-final sets of the components it reaches.  When the
+        largest of those sets already holds the rest, the component
+        reuses that set object, so the sources feeding one closure share
+        it instead of each re-walking it (the all-pairs shape).  Each
+        product config and edge is visited once, whatever the number of
+        sources.
+        """
+        plan = _plan_for(compiled)
+        buffers, tests = self._binding(compiled, program_for(compiled))
+        node_count = self.csr.node_count()
+        accepting = plan.accepting
+        # States without moves or tests (the usual final states) never get
+        # a config: a step into an accepting one adds its node straight to
+        # the stepping config's hits, a step into any other one is dropped.
+        sink = [not m and not c for m, c in zip(plan.moves, plan.checks)]
+
+        def split(dense_targets: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+            bases = tuple(t * node_count for t in dense_targets if not sink[t])
+            return bases, any(sink[t] and accepting[t] for t in dense_targets)
+
+        moves = [
+            tuple((*buffers[b], *split(targets)) for b, targets in state_moves)
+            for state_moves in plan.moves
+        ]
+        checks = [
+            tuple((tests[index], *split((t,))) for index, t in state_checks)
+            for state_checks in plan.checks
+        ]
+
+        def expand(config: int) -> tuple[list[int], list[int]]:
+            """``config``'s successor configs and directly accepted nodes."""
+            state, node = divmod(config, node_count)
+            out: list[int] = []
+            hits: list[int] = [node] if accepting[state] else []
+            for offsets, targets, bases, hit in moves[state]:
+                lo = offsets[node]
+                hi = offsets[node + 1]
+                if lo != hi:
+                    hop = targets[lo:hi]
+                    if hit:
+                        hits.extend(hop)
+                    for base in bases:
+                        out.extend([base + t for t in hop] if base else hop)
+            for test, bases, hit in checks[state]:
+                if test(node):
+                    if hit:
+                        hits.append(node)
+                    out.extend([base + node for base in bases])
+            return out, hits
+
+        def union(sets: list, own: list[int]) -> frozenset[int]:
+            """Union of ``sets`` (``None`` and empty entries skipped) plus
+            ``own``; the largest set is returned as is when it already
+            holds everything, so nested closures share one object."""
+            distinct = list({id(answer): answer for answer in sets if answer}.values())
+            if not distinct:
+                return frozenset(own) if own else empty
+            big = max(distinct, key=len)
+            if big.issuperset(own) and all(answer <= big for answer in distinct):
+                return big
+            return big.union(own, *distinct)
+
+        size = len(plan.live) * node_count
+        order = [0] * size  # DFS discovery number; 0 = unvisited
+        low = [0] * size
+        result: list = [None] * size  # final answer set; None = open
+        tarjan: list[int] = []  # configs of open components
+        waiting: dict[int, tuple] = {}  # open non-root config -> expansion
+        empty: frozenset[int] = frozenset()
+        counter = 0
+        for source in source_ids:
+            if order[source]:
+                continue
+            counter += 1
+            order[source] = low[source] = counter
+            succs, hits = expand(source)
+            if not succs:  # a leaf is its own finished component
+                result[source] = frozenset(hits) if hits else empty
+                continue
+            tarjan.append(source)
+            frames = [[source, succs, hits, 0]]
+            while frames:
+                frame = frames[-1]
+                config, succs, hits, position = frame
+                if position < len(succs):
+                    frame[3] = position + 1
+                    nxt = succs[position]
+                    if not order[nxt]:
+                        counter += 1
+                        order[nxt] = low[nxt] = counter
+                        nxt_succs, nxt_hits = expand(nxt)
+                        if not nxt_succs:
+                            result[nxt] = frozenset(nxt_hits) if nxt_hits else empty
+                            continue
+                        tarjan.append(nxt)
+                        frames.append([nxt, nxt_succs, nxt_hits, 0])
+                    elif result[nxt] is None and order[nxt] < low[config]:
+                        low[config] = order[nxt]
+                    continue
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    if low[config] < low[parent]:
+                        low[parent] = low[config]
+                if low[config] != order[config]:
+                    waiting[config] = (succs, hits)
+                    continue
+                # ``config`` roots a component: its members are the open
+                # configs above it; every other open config is an ancestor.
+                # Members' own entries in ``result`` are still ``None``.
+                if tarjan[-1] == config:
+                    tarjan.pop()
+                    result[config] = union([result[nxt] for nxt in succs], hits)
+                    continue
+                members = [tarjan.pop()]
+                while members[-1] != config:
+                    members.append(tarjan.pop())
+                reached = [result[nxt] for nxt in succs]
+                for member in members[:-1]:
+                    member_succs, member_hits = waiting.pop(member)
+                    reached.extend([result[nxt] for nxt in member_succs])
+                    hits.extend(member_hits)
+                answer = union(reached, hits)
+                for member in members:
+                    result[member] = answer
+        return [result[source] for source in source_ids]
 
     # ------------------------------------------------------------------ #
     # Binding

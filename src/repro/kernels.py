@@ -1,42 +1,19 @@
-"""Execution-kernel selection for the query/chase hot paths.
+"""The query kernel name and the numpy masking point.
 
-The library ships three interchangeable execution kernels:
+NRE queries on frozen CSR graphs run one search: the generated-code
+kernel (:mod:`repro.graph.codegen`), which lowers each compiled automaton
+once to specialized Python and needs no numpy.  Graphs on the dict
+backend run the generic product BFS of :mod:`repro.graph.automaton`.
 
-* ``"vector"`` — array-at-a-time evaluation over the CSR backend's numpy
-  buffers (:mod:`repro.graph.vector`): the product-automaton frontier is
-  an integer array, the visited map a ``state × |V|`` boolean matrix, and
-  edge expansion one vectorized CSR gather per drained state.  This is
-  the default whenever numpy is importable.
-* ``"scalar"`` — the pure-Python loops the vector kernel was derived
-  from, retained verbatim as the differential oracle (and the fallback
-  kernel on installations without numpy).
-* ``"codegen"`` — the specializing kernel (:mod:`repro.graph.codegen`):
-  each compiled automaton is lowered once to a dedicated Python source
-  string (per-state dispatch unrolled into direct branches over the
-  label-indexed CSR buffers), ``compile()``\\d, and reused — no generic
-  interpreter in the hot loop, no numpy requirement, and the generated
-  source persists across processes through the automaton cache.
-
-Selection precedence, weakest to strongest: the built-in default
-(``"vector"``), the ``REPRO_KERNEL`` environment variable, an explicit
-``kernel=`` argument (CLI ``--kernel``, service request parameter,
-:class:`~repro.engine.query.QueryEngine` constructor).  Whatever is
-selected, a ``"vector"`` choice silently degrades to ``"scalar"`` when
-numpy is absent — the two kernels are answer-identical, so degradation
-is a performance event, not a correctness one.
-
-All numpy access in the library routes through :func:`get_numpy`, so
-tests can simulate a numpy-less installation by monkeypatching one
+numpy is still used where it is available — the CSR backend builds its
+buffers with it and the trigger matcher's self-join vectorizes over them
+— and all numpy access in the library routes through :func:`get_numpy`,
+so tests can simulate a numpy-less installation by monkeypatching one
 attribute (``repro.kernels.NUMPY = None``) instead of manipulating
 ``sys.modules``.
 """
 
 from __future__ import annotations
-
-import os
-
-KERNEL_NAMES = ("vector", "scalar", "codegen")
-"""The execution kernels an engine can run (see ``--kernel``)."""
 
 try:  # pragma: no cover - exercised via both branches in the test suite
     import numpy as _numpy
@@ -56,43 +33,14 @@ def get_numpy():
     return NUMPY
 
 
-def default_kernel() -> str:
-    """The kernel used when no explicit choice is made.
-
-    Honours ``REPRO_KERNEL`` (validated); otherwise ``"vector"``.
-    """
-    env = os.environ.get("REPRO_KERNEL")
-    if env:
-        if env not in KERNEL_NAMES:
-            raise ValueError(
-                f"REPRO_KERNEL={env!r} is not a kernel; expected one of "
-                f"{list(KERNEL_NAMES)}"
-            )
-        return env
-    return "vector"
-
-
 def resolve_kernel(kernel: str | None) -> str:
-    """Resolve a requested kernel to the one that will actually run.
+    """Name the kernel that runs: ``None`` or ``"codegen"`` gives ``"codegen"``.
 
-    ``None`` means "no explicit choice" and defers to
-    :func:`default_kernel`.  A ``"vector"`` outcome degrades to
-    ``"scalar"`` when numpy is unavailable; ``"codegen"`` is pure Python
-    and never degrades.
+    Any other name raises :class:`ValueError`.
 
-    >>> resolve_kernel("scalar")
-    'scalar'
-    >>> resolve_kernel("codegen")
+    >>> resolve_kernel(None)
     'codegen'
-    >>> resolve_kernel("vector") in KERNEL_NAMES
-    True
     """
-    if kernel is None:
-        kernel = default_kernel()
-    elif kernel not in KERNEL_NAMES:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {list(KERNEL_NAMES)}"
-        )
-    if kernel == "vector" and get_numpy() is None:
-        return "scalar"
-    return kernel
+    if kernel not in (None, "codegen"):
+        raise ValueError(f"unknown kernel {kernel!r}; the only kernel is 'codegen'")
+    return "codegen"

@@ -32,6 +32,7 @@ import asyncio
 import os
 import threading
 import time
+from concurrent.futures import BrokenExecutor
 from typing import Callable
 
 from repro import telemetry
@@ -54,6 +55,13 @@ from repro.service.protocol import (
     validate_request,
 )
 from repro.service.workers import WorkerPool
+
+
+def _internal_error(request: Request, error: Exception) -> dict:
+    """The envelope for a failure of the pool rather than of the request."""
+    return error_envelope(
+        request.id, "internal-error", f"{type(error).__name__}: {error}"
+    )
 
 
 class ExchangeService:
@@ -159,6 +167,10 @@ class ExchangeService:
             return error_envelope(
                 request.id, "duplicate-id", f"request id {request.id!r} is in flight"
             )
+        except BrokenExecutor as error:
+            # A dead worker breaks the pool; submit() then raises here,
+            # before any job was registered.
+            return _internal_error(request, error)
         future = job.future
         try:
             result = await asyncio.wait_for(
@@ -183,9 +195,7 @@ class ExchangeService:
             raise  # the server itself is being torn down
         except Exception as error:  # noqa: BLE001 - e.g. BrokenProcessPool
             self.jobs.finish(job, "failed")
-            return error_envelope(
-                request.id, "internal-error", f"{type(error).__name__}: {error}"
-            )
+            return _internal_error(request, error)
         sidecar = None
         if isinstance(result, dict) and result.get("__worker__") == 1:
             # The pool wraps every result in the telemetry envelope;

@@ -9,7 +9,14 @@ import time
 import pytest
 
 from repro.graph import autocache
-from repro.graph.automaton import NREAutomaton, compile_nre, evaluate_nre_automaton
+from repro.graph.automaton import (
+    NREAutomaton,
+    automaton_holds,
+    automaton_reachable,
+    compile_nre,
+    evaluate_nre_automaton,
+)
+from repro.graph.codegen import program_for
 from repro.graph.database import GraphDatabase
 from repro.graph.eval import evaluate_nre
 from repro.graph.parser import parse_nre
@@ -108,56 +115,80 @@ class TestSafety:
         assert recompiled.state_count > 0
 
 
-class TestCodegenSources:
-    """Persisted generated sources must never shadow a newer generator.
+def _automaton_tree(compiled):
+    """``compiled`` and every nested-test automaton below it."""
+    tree, stack = [], [compiled]
+    while stack:
+        automaton = stack.pop()
+        if all(automaton is not seen for seen in tree):
+            tree.append(automaton)
+            stack.extend(nested for checks in automaton.tests for nested, _ in checks)
+    return tree
 
-    Regression for a real failure mode: a cache entry written by an older
-    (buggy) code generator survives in the *same* pickle-format directory,
-    and :func:`repro.graph.codegen.source_for` prefers an existing
-    ``_codegen_source`` over regeneration — so without the load-time
-    version check, the stale source would keep resurfacing after the
-    generator is fixed.
+
+class TestNoExecutableSource:
+    """Cache entries never carry code that runs.
+
+    The query kernel's source is generated in-process from the automaton
+    on first use (:func:`repro.graph.codegen.program_for`).  A source
+    string found in a pickle must stay inert: no generated kernel source
+    read from disk is ever exec'd.  (The cache directory must still be
+    trusted — entries are pickles, and a crafted pickle runs code on
+    load; these tests pin only the narrower property.)
     """
 
-    def test_entries_carry_codegen_sources(self, cache_env):
-        from repro.graph.codegen import CODEGEN_VERSION
+    def test_entries_carry_no_generated_source(self, cache_env):
+        expr = parse_nre("f . f*[h] . f- . (f-)*")
+        automaton = compile_nre(expr)
+        frozen = GraphDatabase(edges=[("c1", "f", "s1"), ("s1", "h", "h1")]).freeze()
+        automaton_reachable(frozen, expr, "c1")  # memoise plan and program
+        (name,) = entries(cache_env)
+        path = os.path.join(autocache.cache_dir(), name)
+        os.unlink(path)
+        autocache.store(expr, automaton)  # rewrite it from the warm instance
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        for compiled in _automaton_tree(payload["automaton"]._compiled):
+            assert not any(key.startswith("_codegen") for key in compiled.__dict__)
 
+    def test_tampered_source_never_runs(self, cache_env, tmp_path):
         expr = parse_nre("f . f*[h] . f- . (f-)*")
         compile_nre(expr)
-        loaded = autocache.load(expr)
-        source = loaded._compiled.__dict__.get("_codegen_source")
-        assert source is not None, "store() must pre-generate codegen sources"
-        assert source.startswith(f"CODEGEN_VERSION = {CODEGEN_VERSION}\n")
-
-    def test_stale_codegen_source_is_dropped_and_regenerated(self, cache_env):
-        from repro.graph.codegen import CODEGEN_VERSION, source_for
-
-        expr = parse_nre("f . f*[h] . f- . (f-)*")
-        fresh_source = source_for(compile_nre(expr).compiled())
-        # Plant an entry whose generated source claims an older generator
-        # version (its body would be garbage to the current binder).
         (name,) = entries(cache_env)
         path = os.path.join(autocache.cache_dir(), name)
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        stale = f"CODEGEN_VERSION = {CODEGEN_VERSION - 1}\nraise AssertionError\n"
-        object.__setattr__(payload["automaton"]._compiled, "_codegen_source", stale)
+        marker = tmp_path / "tampered-source-ran"
+        # The stamp line is what older loaders checked before running it.
+        tampered = (
+            "CODEGEN_VERSION = 1\n"
+            f"open({str(marker)!r}, 'w').close()\n"
+            "raise RuntimeError('tampered cache source executed')\n"
+        )
+        for compiled in _automaton_tree(payload["automaton"]._compiled):
+            object.__setattr__(compiled, "_codegen_source", tampered)
         with open(path, "wb") as handle:
             pickle.dump(payload, handle)
-        # The entry still loads (same pickle format) ...
-        loaded = autocache.load(expr)
-        assert loaded is not None
-        # ... but the stale source was dropped on load, so the program is
-        # regenerated from the current generator, silently.
-        assert "_codegen_source" not in loaded._compiled.__dict__ or (
-            loaded._compiled.__dict__["_codegen_source"] != stale
-        )
-        assert source_for(loaded._compiled) == fresh_source
+
+        compile_nre.cache_clear()  # the next compile_nre() reads the entry
+        loaded = compile_nre(expr).compiled()
+        assert loaded.__dict__.get("_codegen_source") == tampered
         graph = GraphDatabase(
-            edges=[("c1", "f", "s1"), ("s1", "f", "c2"), ("s1", "h", "h1")]
+            edges=[
+                ("c1", "f", "s1"), ("s1", "f", "c2"), ("s1", "h", "h1"),
+                ("c2", "f", "c3"), ("c3", "h", "h2"),
+            ]
         )
-        compile_nre.cache_clear()  # route the next evaluation through disk
-        assert evaluate_nre_automaton(graph, expr) == evaluate_nre(graph, expr)
+        frozen = graph.freeze()
+        expected = evaluate_nre(graph, expr)
+        assert evaluate_nre_automaton(frozen, expr) == expected
+        for source, target in [("c1", "c1"), ("c1", "c3"), ("c3", "c2")]:
+            assert automaton_holds(frozen, expr, source, target) == (
+                (source, target) in expected
+            )
+        for compiled in _automaton_tree(loaded):
+            program_for(compiled)  # the kernel's only exec site
+        assert not marker.exists()
 
 
 EXPR = "f . f*[h] . f- . (f-)*"

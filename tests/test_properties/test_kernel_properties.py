@@ -1,27 +1,26 @@
-"""Differential properties of the execution kernels (codegen ≡ vector ≡ scalar).
+"""Differential properties of the storage backends (csr ≡ dict ≡ reference).
 
-All three execution kernels must be answer-identical to the set-algebraic
-reference evaluator: the vector kernel (:mod:`repro.graph.vector`), the
-scalar kernel it was derived from, and the generated-code kernel
-(:mod:`repro.graph.codegen`), which lowers each compiled automaton to
-specialized Python source.  Pinned here over random graphs × random NREs
+Frozen CSR graphs answer NRE queries through the generated-code kernel
+(:mod:`repro.graph.codegen`); dict-backed graphs through the generic
+product BFS of :mod:`repro.graph.automaton`.  Both must be
+answer-identical to the set-algebraic reference evaluator
+(:mod:`repro.graph.eval`).  Pinned here over random graphs × random NREs
 and over random chase runs:
 
-* **query differential**: every (backend, kernel) combination of
-  :class:`~repro.engine.query.QueryEngine` returns the reference answers —
-  all-pairs, single-source, single-pair, and the batched multi-source
-  entry point.  The grid iterates :data:`repro.kernels.KERNEL_NAMES`, so
-  a new kernel joins every differential automatically;
-* **chase differential**: the egd chase and the sameAs construction give
-  identical results with numpy present and with numpy masked (the scalar
-  fallback), including the violation picked as a failure witness;
+* **query differential**: both storage backends of
+  :class:`~repro.engine.query.QueryEngine` return the reference answers —
+  all-pairs, single-source, single-pair (each of the kernel's generated
+  ``collect``/``holds`` functions has its own early exits), and the
+  batched multi-source entry point (on csr one search shared by every
+  source, finishing strongly connected product components once);
+* **numpy-absent fallback**: with ``repro.kernels.NUMPY`` masked, CSR
+  buffers are built as :class:`array.array` and the trigger matcher's
+  self-join takes its pure-Python path; queries, the egd chase and the
+  sameAs construction give identical results, including the violation
+  picked as a failure witness;
 * **sameAs strategy differential**: the union-find saturation strategy
   produces *byte-identical* output to the journal-order oracle it
-  replaced — same graph content, same serialized document bytes;
-* **numpy-absent fallback**: with ``repro.kernels.NUMPY`` masked, a
-  ``kernel="vector"`` request resolves to ``"scalar"`` and still answers
-  correctly — a numpy-less installation degrades, never breaks (the
-  codegen kernel is pure Python and never degrades).
+  replaced — same graph content, same serialized document bytes.
 
 The mask is one attribute (``repro.kernels.NUMPY``) because all numpy
 access in the library routes through :func:`repro.kernels.get_numpy`.
@@ -96,24 +95,19 @@ def flight_instances(draw):
     )
 
 
-def engine_grid():
-    """One engine per (backend, kernel) combination."""
-    return [
-        QueryEngine(backend=backend, kernel=kernel)
-        for backend in BACKENDS
-        for kernel in kernels.KERNEL_NAMES
-    ]
+def engines():
+    """One engine per storage backend."""
+    return [QueryEngine(backend=backend) for backend in BACKENDS]
 
 
-class TestQueryKernelDifferential:
+class TestQueryBackendDifferential:
     @settings(max_examples=100, deadline=None)
     @given(graphs(), nres())
     def test_all_pairs_agree_with_reference(self, graph, expr):
         expected = ReferenceEngine().pairs(graph, expr)
-        for engine in engine_grid():
+        for engine in engines():
             assert engine.pairs(graph, expr) == expected, (
-                f"pairs diverged on backend={engine.backend} "
-                f"kernel={engine.kernel}"
+                f"pairs diverged on backend={engine.backend}"
             )
 
     @settings(max_examples=60, deadline=None)
@@ -122,7 +116,7 @@ class TestQueryKernelDifferential:
         reference = ReferenceEngine()
         for source in sorted(graph.nodes(), key=repr):
             expected = reference.reachable(graph, expr, source)
-            for engine in engine_grid():
+            for engine in engines():
                 assert engine.reachable(graph, expr, source) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -130,38 +124,56 @@ class TestQueryKernelDifferential:
     def test_batched_multi_source_agrees_with_reference(self, graph, expr):
         sources = sorted(graph.nodes(), key=repr) + ["not-in-graph"]
         expected = ReferenceEngine().reachable_many(graph, expr, sources)
-        for engine in engine_grid():
+        for engine in engines():
             assert engine.reachable_many(graph, expr, sources) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graphs(max_nodes=14, max_edges=40),
+        nres(),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_shared_search_agrees_on_source_subsets(self, graph, expr, seed):
+        """Denser cyclic graphs give product components that span several
+        sources; a subset with repeats, in random order, must still get
+        each source's own reference answer."""
+        rng = random.Random(seed)
+        nodes = sorted(graph.nodes(), key=repr)
+        sources = [rng.choice(nodes) for _ in range(rng.randint(1, 2 * len(nodes)))]
+        reference = ReferenceEngine()
+        expected = {u: reference.reachable(graph, expr, u) for u in sources}
+        for engine in engines():
+            assert engine.reachable_many(graph, expr, sources) == expected
+        assert QueryEngine(backend="csr").pairs(graph, expr) == reference.pairs(
+            graph, expr
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(), nres())
     def test_single_pair_agrees_with_reference(self, graph, expr):
-        """``holds`` runs each kernel's dedicated single-pair code path —
-        for the codegen kernel a separately generated function with its
-        own early-exit structure, so it gets its own differential."""
+        """``holds`` runs a dedicated single-pair code path on each
+        backend — on csr a separately generated function with its own
+        early-exit structure — so it gets its own differential."""
         reference = ReferenceEngine()
         expected = reference.pairs(graph, expr)
         nodes = sorted(graph.nodes(), key=repr)
         probes = [
             (u, nodes[(i * 3 + 1) % len(nodes)]) for i, u in enumerate(nodes)
-        ] + [(u, u) for u in nodes[:3]]
-        for engine in engine_grid():
+        ] + [(u, u) for u in nodes[:3]] + [(nodes[0], "not-in-graph")]
+        for engine in engines():
             for u, v in probes:
                 assert engine.holds(graph, expr, u, v) == ((u, v) in expected), (
                     f"holds diverged on backend={engine.backend} "
-                    f"kernel={engine.kernel} probe=({u!r}, {v!r})"
+                    f"probe=({u!r}, {v!r})"
                 )
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(), nres())
-    def test_vector_matches_scalar_with_numpy_masked(self, graph, expr):
-        """The fallback path: a vector engine built under a masked numpy
-        runs the scalar kernel and stays answer-identical."""
-        scalar = QueryEngine(backend="csr", kernel="scalar").pairs(graph, expr)
+    def test_csr_identical_with_numpy_masked(self, graph, expr):
+        """CSR buffers built without numpy answer exactly as with it."""
+        expected = QueryEngine(backend="csr").pairs(graph, expr)
         with mock.patch.object(kernels, "NUMPY", None):
-            engine = QueryEngine(backend="csr", kernel="vector")
-            assert engine.kernel == "scalar"
-            assert engine.pairs(graph, expr) == scalar
+            assert QueryEngine(backend="csr").pairs(graph, expr) == expected
 
 
 class TestChaseKernelDifferential:
@@ -262,22 +274,10 @@ class TestSameAsStrategyDifferential:
         assert results["unionfind"] == results["journal"]
 
 
-class TestKernelResolution:
-    def test_vector_degrades_to_scalar_without_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        with mock.patch.object(kernels, "NUMPY", None):
-            assert kernels.resolve_kernel("vector") == "scalar"
-            assert kernels.resolve_kernel(None) == "scalar"
-            # codegen is pure Python: explicit requests never degrade.
-            assert kernels.resolve_kernel("codegen") == "codegen"
-
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.resolve_kernel("turbo")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert kernels.default_kernel() == "scalar"
-        monkeypatch.setenv("REPRO_KERNEL", "warp")
-        with pytest.raises(ValueError):
-            kernels.default_kernel()
+class TestKernelName:
+    def test_only_codegen_resolves(self):
+        assert kernels.resolve_kernel(None) == "codegen"
+        assert kernels.resolve_kernel("codegen") == "codegen"
+        for retired in ("vector", "scalar", "turbo"):
+            with pytest.raises(ValueError):
+                kernels.resolve_kernel(retired)

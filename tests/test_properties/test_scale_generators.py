@@ -10,7 +10,7 @@ Three families of properties over random :class:`GeneratorConfig` draws:
   byte-identical to the from-scratch relational chase on generated
   tenants (the soak tests extend this to full update streams);
 * **certain-answer agreement** — on ~10^2-node draws, every
-  (backend × kernel) combination of the compiled query engine returns
+  storage backend of the compiled query engine returns
   the same certain answers over the chased universal solution, and all
   of them match the set-algebraic reference evaluation.  The families
   sit in the Section 3.1 fragment, so naive evaluation *is* the certain
@@ -20,7 +20,6 @@ Three families of properties over random :class:`GeneratorConfig` draws:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import kernels
 from repro.chase.relational_chase import chase_relational
 from repro.engine.incremental import IncrementalChase
 from repro.engine.query import QueryEngine
@@ -121,7 +120,7 @@ class TestChaseAgreement:
 class TestCertainAnswerAgreement:
     @settings(max_examples=10, deadline=None)
     @given(configs(min_nodes=60, max_nodes=120))
-    def test_every_kernel_and_backend_agrees_with_the_reference(self, config):
+    def test_every_backend_agrees_with_the_reference(self, config):
         setting = scale_setting(config.family)
         instance = generate_instance(config)
         chased = chase_relational(
@@ -137,13 +136,10 @@ class TestCertainAnswerAgreement:
                 if not is_null(u) and not is_null(v)
             )
             for backend in BACKENDS:
-                for kernel in kernels.KERNEL_NAMES:
-                    engine = QueryEngine(backend=backend, kernel=kernel)
-                    compiled = frozenset(
-                        (u, v)
-                        for u, v in engine.pairs(universal, query)
-                        if not is_null(u) and not is_null(v)
-                    )
-                    assert compiled == reference, (
-                        config.family, text, backend, kernel
-                    )
+                engine = QueryEngine(backend=backend)
+                compiled = frozenset(
+                    (u, v)
+                    for u, v in engine.pairs(universal, query)
+                    if not is_null(u) and not is_null(v)
+                )
+                assert compiled == reference, (config.family, text, backend)

@@ -8,8 +8,11 @@ normalised request.
 """
 
 import json
+import os
+import signal
 import socket
 import threading
+import time
 
 import pytest
 
@@ -154,6 +157,16 @@ class TestErrorEnvelopes:
             client.call("certain", {"document": demo_document()})  # no query
         assert excinfo.value.code == "bad-request"
 
+    def test_kernel_param_is_rejected(self, client):
+        """There is one query kernel; a request naming one is malformed."""
+        envelope = client.request(
+            "certain",
+            params(demo_document(), query=QUERY, pair=None, kernel="codegen"),
+        )
+        assert envelope["ok"] is False
+        assert envelope["error"]["code"] == "bad-request"
+        assert "does not accept params ['kernel']" in envelope["error"]["message"]
+
     def test_worker_error_becomes_envelope(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.call("certain", params(demo_document(), query="f . (", pair=None))
@@ -218,6 +231,33 @@ class TestCancelWhileRunning:
             assert service.jobs.stats()["cancelled"] == 1
 
         asyncio.run(scenario())
+
+
+class TestDeadWorker:
+    """A worker killed under a live server yields envelopes, not hangups."""
+
+    def test_killed_worker_gives_internal_error_and_connection_survives(self):
+        handle = start_in_thread(workers=1)
+        try:
+            executor = handle.pool._executor
+            (pid,) = list(executor._processes)
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while not executor._broken:  # the pool notices the death
+                assert time.monotonic() < deadline, "pool never broke"
+                time.sleep(0.05)
+            with handle.client() as connection:
+                envelope = connection.request(
+                    "certain",
+                    params(demo_document(), query=QUERY, pair=None),
+                    no_cache=True,
+                )
+                assert envelope["ok"] is False
+                assert envelope["error"]["code"] == "internal-error"
+                assert "BrokenProcessPool" in envelope["error"]["message"]
+                assert connection.ping()["pong"] is True
+        finally:
+            handle.close()
 
 
 class TestInlineLaneAndShutdown:
